@@ -8,6 +8,8 @@ JSON trace of the plan/build/layer spans.
     PYTHONPATH=src python benchmarks/bench_session_resnet.py --quick    # tiny N
     PYTHONPATH=src python benchmarks/bench_session_resnet.py \
         --trace results/session_resnet_trace.json
+    PYTHONPATH=src python benchmarks/bench_session_resnet.py \
+        --before old_results.txt     # adds a per-layer before/after table
 
 ``--quick`` shrinks the batch so the CI smoke job finishes in seconds;
 the layer stack, selection mode and trace structure are identical.
@@ -62,6 +64,35 @@ def session_table(result, plans) -> str:
     )
 
 
+def read_layer_ms(path: str) -> dict[str, float]:
+    """Per-layer ms from the session table of an earlier results file."""
+    before: dict[str, float] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            cells = [cell.strip() for cell in line.split("|")]
+            if len(cells) == 5 and cells[0] not in before:
+                try:
+                    before[cells[0]] = float(cells[4])
+                except ValueError:  # header / separator rows
+                    continue
+    return before
+
+
+def before_after_table(before: dict[str, float], result) -> str:
+    rows = [
+        (run.layer, before[run.layer], run.seconds * 1e3,
+         before[run.layer] / (run.seconds * 1e3))
+        for run in result.layers if run.layer in before
+    ]
+    total_before = sum(row[1] for row in rows)
+    total_after = sum(row[2] for row in rows)
+    rows.append(("total", total_before, total_after, total_before / total_after))
+    return format_table(
+        ["layer", "before ms", "after ms", "speedup"], rows,
+        title="Per-layer host time, before vs after",
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -75,12 +106,20 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="trace JSON path (default: "
                              "results/session_resnet_trace.json)")
+    parser.add_argument("--before", metavar="PATH", default=None,
+                        help="an earlier results file of this bench: adds a "
+                             "per-layer before/after table")
     args = parser.parse_args(argv)
     batch = args.batch or (2 if args.quick else 32)
+    # Read first: the earlier file may be the one this run overwrites.
+    before = read_layer_ms(args.before) if args.before else None
 
     result, plans, ctx = run_session(batch, mode=args.mode,
                                      pipeline=args.pipeline)
-    emit(f"Session: ResNet layers N={batch}", session_table(result, plans))
+    text = session_table(result, plans)
+    if before:
+        text += "\n\n" + before_after_table(before, result)
+    emit(f"Session: ResNet layers N={batch}", text)
 
     trace_path = args.trace or os.path.join(
         RESULTS_DIR, "session_resnet_trace.json"

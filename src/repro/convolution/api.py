@@ -23,11 +23,11 @@ from typing import Callable
 import numpy as np
 
 from ..common.errors import ConvConfigError
-from ..common.layouts import kcrs_to_crsk, khwn_to_nkhw, nchw_to_chwn
-from ..winograd.fused import FusedWinogradConv
+from ..common.layouts import khwn_to_nkhw
+from ..winograd.executor import WinogradExecutor
 from ..winograd.nonfused import NonFusedWinogradConv
 from ..winograd.reference import winograd_conv2d_nchw
-from ..winograd.tilespec import TILE_F44
+from ..winograd.tilespec import TILE_F22, TILE_F44
 from .direct import direct_conv2d
 from .dwm import dwm_conv2d_with_plan
 from .fft import fft_conv2d, fft_tiling_conv2d
@@ -138,15 +138,12 @@ def _run_concrete(
             "to decompose larger (or strided) filters, or "
             "WINOGRAD_REFERENCE/DIRECT"
         )
-    x_chwn = nchw_to_chwn(x)
-    f_crsk = kcrs_to_crsk(f)
-    if algo == "WINOGRAD":
-        y_khwn = FusedWinogradConv()(x_chwn, f_crsk)
-    elif algo == "WINOGRAD_F44":
-        y_khwn = FusedWinogradConv(tile=TILE_F44)(x_chwn, f_crsk)
-    else:  # WINOGRAD_NONFUSED
-        y_khwn = NonFusedWinogradConv(m=4)(x_chwn, f_crsk)
-    return khwn_to_nkhw(y_khwn)
+    if algo == "WINOGRAD_NONFUSED":
+        # CHWN / CRSK views: the executor makes the only input copy.
+        conv = NonFusedWinogradConv(m=4)
+        return khwn_to_nkhw(conv(x.transpose(1, 2, 3, 0), f.transpose(1, 2, 3, 0)))
+    tile = TILE_F44 if algo == "WINOGRAD_F44" else TILE_F22
+    return WinogradExecutor(tile, pad=1).conv2d_nchw(x, f)
 
 
 def conv2d(

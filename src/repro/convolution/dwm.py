@@ -17,8 +17,8 @@ a problem the tiles cannot run into a sum of problems they can:
 Both rules compose (a 7×7 stride-2 filter first splits into ≤4-wide
 phases, then into ≤3 chunks).  Every part is a VALID (pad-0) 3×3
 convolution on an explicit slice of the padded input, so each one runs
-through :class:`~repro.winograd.fused.FusedWinogradConv` — the same
-fused pipeline the dispatcher uses for native 3×3 layers — and the
+through :class:`~repro.winograd.executor.WinogradExecutor` — the same
+host pipeline the dispatcher uses for native 3×3 layers — and the
 partial outputs sum exactly to the direct-convolution result.
 """
 
@@ -30,9 +30,7 @@ import math
 import numpy as np
 
 from ..common.errors import ConvConfigError, LayoutError
-from ..common.layouts import kcrs_to_crsk, khwn_to_nkhw, nchw_to_chwn
-from ..common.problem import ConvProblem
-from ..winograd.fused import FusedWinogradConv
+from ..winograd.executor import WinogradExecutor
 from ..winograd.tilespec import TileSpec, get_tile
 
 #: Largest sub-filter edge the fused F(m×m, 3×3) kernels accept.
@@ -128,27 +126,15 @@ def _part_subfilter(f: np.ndarray, plan: DWMPlan, part: DWMPart) -> np.ndarray:
     return g
 
 
-def _part_input(
-    xp: np.ndarray, plan: DWMPlan, part: DWMPart, out_h: int, out_w: int
-) -> np.ndarray:
-    """The part's NCHW input window: phase-subsample, shift, zero-extend.
-
-    The window is exactly (out_h + 2, out_w + 2) so a VALID 3×3 conv on
-    it yields the (out_h, out_w) partial output.  Trailing rows/cols past
-    the subsampled input are zero — they are only ever multiplied by the
-    zero-padding taps of the sub-filter.
-    """
+def _part_input(xp: np.ndarray, plan: DWMPlan, part: DWMPart) -> np.ndarray:
+    """The part's NCHW input window: the phase subsampling of the padded
+    input, shifted by the chunk origin.  It may end short of the
+    (out_h + 2, out_w + 2) a VALID 3×3 conv needs; the executor reads
+    the missing trailing rows/cols as zero, and they only ever meet the
+    sub-filter's zero-padding taps."""
     a, b = part.phase
-    sigma = plan.stride
-    sub = xp[:, :, a::sigma, b::sigma]
-    need_h = out_h + FILTER_CHUNK - 1
-    need_w = out_w + FILTER_CHUNK - 1
-    win = sub[:, :, part.row0 : part.row0 + need_h, part.col0 : part.col0 + need_w]
-    grow_h = need_h - win.shape[2]
-    grow_w = need_w - win.shape[3]
-    if grow_h > 0 or grow_w > 0:
-        win = np.pad(win, ((0, 0), (0, 0), (0, max(grow_h, 0)), (0, max(grow_w, 0))))
-    return win
+    sub = xp[:, :, a :: plan.stride, b :: plan.stride]
+    return sub[:, :, part.row0 :, part.col0 :]
 
 
 def dwm_conv2d(
@@ -158,7 +144,7 @@ def dwm_conv2d(
     stride: int = 1,
     tile: TileSpec | str | None = None,
 ) -> np.ndarray:
-    """Convolution by DWM decomposition; every part runs fused Winograd.
+    """Convolution by DWM decomposition; every part runs host Winograd.
 
     Parameters
     ----------
@@ -203,18 +189,11 @@ def dwm_conv2d_with_plan(
         )
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    conv = FusedWinogradConv(tile=tile_spec)
+    # VALID conv: each window already carries the shifted padding, so
+    # every part is a pad-0 3×3 problem summed into the output.
+    ex = WinogradExecutor(tile_spec, pad=0)
     y = np.zeros((n, k, out_h, out_w), dtype=np.float32)
     for part in plan.parts:
         g = _part_subfilter(f, plan, part)
-        win = _part_input(xp, plan, part, out_h, out_w)
-        # VALID conv: the window already carries the shifted padding, so
-        # the part is a pad-0 3×3 problem for the fused pipeline.
-        prob = ConvProblem(
-            n=n, c=c, h=win.shape[2], w=win.shape[3], k=k, pad=0,
-            name=f"dwm:{part.label()}",
-        )
-        f_t = conv.transform_filters(kcrs_to_crsk(g))
-        y_khwn, _ = conv.run(nchw_to_chwn(win.astype(np.float32)), f_t, prob)
-        y += khwn_to_nkhw(y_khwn)
+        ex.conv2d_nchw(_part_input(xp, plan, part), g, out=y, accumulate=True)
     return y, plan

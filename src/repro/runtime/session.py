@@ -42,10 +42,11 @@ from .context import ExecutionContext, activate, current_context
 SESSION_MODES = ("AUTO", "AUTO_HEURISTIC")
 
 #: Winograd tile family each algorithm executes on (``None`` for
-#: non-Winograd algorithms).  DWM decomposes onto f22-family parts.
+#: non-Winograd algorithms).  The non-fused path runs F(4×4, 3×3), like
+#: its workspace closed form; DWM decomposes onto f22-family parts.
 TILE_FOR_ALGO = {
     "WINOGRAD": "f22",
-    "WINOGRAD_NONFUSED": "f22",
+    "WINOGRAD_NONFUSED": "f44",
     "WINOGRAD_DWM": "f22",
     "WINOGRAD_F44": "f44",
 }

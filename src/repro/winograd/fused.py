@@ -20,7 +20,8 @@ parameter: ``TILE_F22`` reproduces the paper's F(2×2,3×3) kernel
 ``perfmodel.f44_study``.  Because every global address and mask is
 computed the way the kernels compute them, this module doubles as the
 functional specification for ``repro.kernels.winograd_fused`` and the
-workload model for ``repro.perfmodel``.
+workload model for ``repro.perfmodel``.  Host convolutions run the
+vectorized :mod:`repro.winograd.executor`; this block loop is its oracle.
 """
 
 from __future__ import annotations
@@ -226,7 +227,6 @@ class FusedWinogradConv:
         c, h, w, n = x_chwn.shape
         t = self.transform
         alpha = t.alpha
-        m = t.m
         if f_transformed.shape[:3] != (c, alpha, alpha):
             raise LayoutError(
                 f"expected (C,{alpha},{alpha},K) transformed filters, "
@@ -235,35 +235,40 @@ class FusedWinogradConv:
         k = f_transformed.shape[3]
         if prob is None:
             prob = ConvProblem(n=n, c=c, h=h, w=w, k=k)
-        cfg = self.config
-        pad = prob.pad
+        th, tw = prob.tiles_h(t.m), prob.tiles_w(t.m)
+        tile_r, tile_c, tile_n = tile_index_grid(th, tw, n)
+        bn = self.config.bn
+        blocks = [
+            (tile_r[g0 : g0 + bn], tile_c[g0 : g0 + bn], tile_n[g0 : g0 + bn])
+            for g0 in range(0, tile_r.size, bn)
+        ]
+        y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
+        stats = self._block_loop(x_chwn, f_transformed, prob, blocks, y)
+        return y, stats
+
+    def _block_loop(self, x_chwn, f_transformed, prob, blocks, y) -> FusedRunStats:
+        """Run the grid: every (tile block, K block) pair walks the
+        channel main loop.  *blocks* lists each thread block's
+        (tile-row, tile-col, batch) index arrays; *x_chwn* and the KHWN
+        output *y* may be transposed views of other layouts."""
+        c, h, w, _ = x_chwn.shape
+        k = f_transformed.shape[3]
+        t, cfg, pad = self.transform, self.config, prob.pad
+        alpha, m = t.alpha, t.m
         elements = alpha * alpha
         itf_fadds = _itf_fadds_per_tile(t)
         otf_fadds = _otf_fadds_per_tile(t)
-
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-        tile_r, tile_c, tile_n = tile_index_grid(th, tw, n)
-        total_tiles = tile_r.size
-
-        n_blocks_tiles = math.ceil(total_tiles / cfg.bn)
         n_blocks_k = math.ceil(k / cfg.bk)
-        iters = math.ceil(c / cfg.bc)
-
-        y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
-
         stats = FusedRunStats(
-            grid_blocks=n_blocks_tiles * n_blocks_k,
-            main_loop_iters_per_block=iters,
+            grid_blocks=len(blocks) * n_blocks_k,
+            main_loop_iters_per_block=math.ceil(c / cfg.bc),
         )
 
         arange_a = np.arange(alpha)
-        for tb in range(n_blocks_tiles):
-            g0 = tb * cfg.bn
-            g_idx = np.arange(g0, min(g0 + cfg.bn, total_tiles))
-            bn_real = g_idx.size
-            rows = tile_r[g_idx][:, None] * m - pad + arange_a[None, :]  # (bn, a)
-            cols = tile_c[g_idx][:, None] * m - pad + arange_a[None, :]
-            batch = tile_n[g_idx]
+        for blk_r, blk_c, batch in blocks:
+            bn_real = blk_r.size
+            rows = blk_r[:, None] * m - pad + arange_a[None, :]  # (bn, a)
+            cols = blk_c[:, None] * m - pad + arange_a[None, :]
             mask = ((rows >= 0) & (rows < h))[:, :, None] & (
                 (cols >= 0) & (cols < w)
             )[:, None, :]  # (bn, a, a) — the precomputed predicate masks (§3.5)
@@ -309,9 +314,9 @@ class FusedWinogradConv:
                 )  # (bk, bn, a, a)
                 o = t.transform_output(o_hat)  # (bk, bn, m, m)
                 stats.otf_fadd_total += otf_fadds * bk_real * bn_real
-                for j, g in enumerate(g_idx):
-                    r0 = tile_r[g] * m
-                    c0w = tile_c[g] * m
+                for j in range(bn_real):
+                    r0 = blk_r[j] * m
+                    c0w = blk_c[j] * m
                     rmax = min(m, prob.out_h - r0)
                     cmax = min(m, prob.out_w - c0w)
                     y[k0:k_hi, r0 : r0 + rmax, c0w : c0w + cmax, batch[j]] = o[
@@ -320,7 +325,27 @@ class FusedWinogradConv:
                     stats.gmem_store_bytes += bk_real * rmax * cmax * 4
 
         stats.effective_flops = prob.direct_flops
-        return y, stats
+        return stats
+
+    def run_stats(self, prob: ConvProblem) -> FusedRunStats:
+        """The :class:`FusedRunStats` :meth:`run` reports for *prob*, in
+        closed form (no data): every sum over blocks, K blocks and
+        channel steps telescopes to the full N·tiles, K and C extents."""
+        t, cfg = self.transform, self.config
+        a2 = t.alpha * t.alpha
+        tiles = prob.total_tiles(t.m)
+        k_blocks = math.ceil(prob.k / cfg.bk)
+        tile_blocks = math.ceil(tiles / cfg.bn)
+        return FusedRunStats(
+            grid_blocks=tile_blocks * k_blocks,
+            main_loop_iters_per_block=math.ceil(prob.c / cfg.bc),
+            ffma_total=a2 * prob.k * prob.c * tiles,
+            itf_fadd_total=_itf_fadds_per_tile(t) * prob.c * tiles * k_blocks,
+            otf_fadd_total=_otf_fadds_per_tile(t) * prob.k * tiles,
+            gmem_load_bytes=4 * a2 * prob.c * (tiles * k_blocks + prob.k * tile_blocks),
+            gmem_store_bytes=4 * prob.k * prob.out_h * prob.out_w * prob.n,
+            effective_flops=prob.direct_flops,
+        )
 
     def __call__(self, x_chwn: np.ndarray, f_crsk: np.ndarray) -> np.ndarray:
         """FTF + fused kernel; returns the KHWN output only."""
@@ -334,14 +359,10 @@ class FusedWinogradConv:
     def workload(self, prob: ConvProblem) -> dict:
         """Static per-launch work description (no data needed)."""
         cfg = self.config
-        m = self.transform.m
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-        total_tiles = th * tw * prob.n
-        blocks = math.ceil(total_tiles / cfg.bn) * math.ceil(prob.k / cfg.bk)
-        iters = math.ceil(prob.c / cfg.bc)
+        stats = self.run_stats(prob)
         return {
-            "blocks": blocks,
-            "iters_per_block": iters,
+            "blocks": stats.grid_blocks,
+            "iters_per_block": stats.main_loop_iters_per_block,
             "threads_per_block": cfg.threads,
             "warps_per_block": cfg.threads // 32,
             "ffma_per_thread_per_iter": cfg.ffma_per_thread_per_iter,

@@ -23,8 +23,6 @@ optimum; the naive mismatched pairings do not.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..common.errors import LayoutError
@@ -51,79 +49,27 @@ class FusedWinogradConvNCHW(FusedWinogradConv):
         n, c, h, w = x_nchw.shape
         k = f_transformed.shape[3]
         prob = prob or ConvProblem(n=n, c=c, h=h, w=w, k=k)
-        t = self.transform
-        alpha, m, pad = t.alpha, t.m, prob.pad
-        cfg = self.config
+        m = self.transform.m
         th, tw = prob.tiles_h(m), prob.tiles_w(m)
 
-        # §8.4 block mapping: one image, an 8×4 patch of tile positions.
-        patches_h = math.ceil(th / TILE_PATCH_H)
-        patches_w = math.ceil(tw / TILE_PATCH_W)
-        n_blocks_k = math.ceil(k / cfg.bk)
-        y = np.zeros((n, k, prob.out_h, prob.out_w), dtype=np.float32)
-        arange_a = np.arange(alpha)
-
+        # §8.4 block mapping: one image, an 8×4 patch of tile positions
+        # (tiles past the output edge are dropped from the block).
+        blocks = []
         for img in range(n):
-            for ph in range(patches_h):
-                for pw in range(patches_w):
-                    tiles_r = np.repeat(
-                        ph * TILE_PATCH_H + np.arange(TILE_PATCH_H), TILE_PATCH_W
+            for ph in range(0, th, TILE_PATCH_H):
+                for pw in range(0, tw, TILE_PATCH_W):
+                    rr, cc = np.meshgrid(
+                        np.arange(ph, min(ph + TILE_PATCH_H, th)),
+                        np.arange(pw, min(pw + TILE_PATCH_W, tw)),
+                        indexing="ij",
                     )
-                    tiles_c = np.tile(
-                        pw * TILE_PATCH_W + np.arange(TILE_PATCH_W), TILE_PATCH_H
-                    )
-                    valid = (tiles_r < th) & (tiles_c < tw)
-                    rows = tiles_r[:, None] * m - pad + arange_a[None, :]
-                    cols = tiles_c[:, None] * m - pad + arange_a[None, :]
-                    mask = (
-                        ((rows >= 0) & (rows < h))[:, :, None]
-                        & ((cols >= 0) & (cols < w))[:, None, :]
-                        & valid[:, None, None]
-                    )
-                    rows_cl = np.clip(rows, 0, h - 1)
-                    cols_cl = np.clip(cols, 0, w - 1)
-                    for kb in range(n_blocks_k):
-                        k0, k_hi = kb * cfg.bk, min((kb + 1) * cfg.bk, k)
-                        acc = np.zeros(
-                            (alpha * alpha, k_hi - k0, 32), dtype=np.float32
-                        )
-                        for c0 in range(0, c, cfg.bc):
-                            c_hi = min(c0 + cfg.bc, c)
-                            chan = np.arange(c0, c_hi)[:, None, None, None]
-                            tiles = x_nchw[
-                                img, chan,
-                                rows_cl[None, :, :, None],
-                                cols_cl[None, :, None, :],
-                            ]  # (bc, 32, a, a)
-                            tiles = np.where(
-                                mask[None], tiles, np.float32(0)
-                            )
-                            i_t = t.transform_input(tiles)
-                            i_smem = i_t.transpose(2, 3, 0, 1).reshape(
-                                alpha * alpha, c_hi - c0, 32
-                            )
-                            f_smem = f_transformed[
-                                c0:c_hi, :, :, k0:k_hi
-                            ].transpose(1, 2, 0, 3).reshape(
-                                alpha * alpha, c_hi - c0, k_hi - k0
-                            )
-                            acc += np.einsum(
-                                "pck,pcn->pkn", f_smem, i_smem, optimize=True
-                            ).astype(np.float32)
-                        o_hat = acc.reshape(
-                            alpha, alpha, k_hi - k0, 32
-                        ).transpose(2, 3, 0, 1)
-                        o = t.transform_output(o_hat)
-                        for j in range(32):
-                            if not valid[j]:
-                                continue
-                            r0 = tiles_r[j] * m
-                            c0w = tiles_c[j] * m
-                            rmax = min(m, prob.out_h - r0)
-                            cmax = min(m, prob.out_w - c0w)
-                            y[img, k0:k_hi, r0 : r0 + rmax, c0w : c0w + cmax] = o[
-                                :, j, :rmax, :cmax
-                            ]
+                    blocks.append((rr.ravel(), cc.ravel(), np.full(rr.size, img)))
+        y = np.zeros((n, k, prob.out_h, prob.out_w), dtype=np.float32)
+        # The same grid as the CHWN kernel, reading NCHW through a CHWN view.
+        self._block_loop(
+            x_nchw.transpose(1, 2, 3, 0), f_transformed, prob, blocks,
+            y.transpose(1, 2, 3, 0),
+        )
         return y
 
 
