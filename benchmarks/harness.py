@@ -11,7 +11,7 @@ layer-model simulation instead of repeating it per figure.  The memo is
 keyed by the canonical ``(device, Tunables)`` pair — sweeps that spell
 the same configuration differently (``yield_strategy="natural"`` vs the
 default) share one measurement — and can be pre-warmed through the
-``benchmarks/parallel.py`` process pool (``prewarm_*`` below), with the
+``repro.runtime.parallel`` process pool (``prewarm_*`` below), with the
 persistent simulation cache (``repro.kernels.get_sim_cache_stats``)
 making repeated sweeps nearly free.
 """
@@ -31,6 +31,7 @@ from repro.kernels import Tunables, measure_main_loop
 from repro.models import paper_layers
 from repro.perfmodel import cudnn_time, our_layer_performance
 from repro.perfmodel.layer_model import prime_measurement_cache
+from repro.runtime.parallel import parallel_map
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -82,7 +83,7 @@ def prewarm_main_loop_measurements(device_name: str, variant_kwargs) -> int:
         key = (device_name, tunables)
         if key not in _MEASUREMENTS and (device_name, tunables) not in pending:
             pending.append((device_name, tunables))
-    results = parallel.parallel_map(parallel.main_loop_worker, pending)
+    results = parallel_map(parallel.main_loop_worker, pending)
     for (dev, tunables), meas in zip(pending, results):
         seed_main_loop_measurement(dev, tunables, meas)
     return len(pending)
@@ -112,12 +113,12 @@ def schedule_tflops(layer_name: str, device_name: str, schedule) -> float:
 
 
 def prewarm_layer_measurements(device_names, tunables: Tunables | None = None) -> int:
-    """Fan the per-device layer-model measurement triples out in parallel."""
+    """Fan the per-device f22 layer-model measurement triples out in parallel."""
     tunables = tunables or Tunables()
-    pending = [(name, tunables) for name in device_names]
-    results = parallel.parallel_map(parallel.layer_measurements_worker, pending)
-    for (name, tun), (main, overhead, overhead_fma) in zip(pending, results):
-        prime_measurement_cache(name, tun, main, overhead, overhead_fma)
+    pending = [(name, "f22", tunables) for name in device_names]
+    results = parallel_map(parallel.layer_measurements_worker, pending)
+    for (name, tile, tun), measurements in zip(pending, results):
+        prime_measurement_cache(name, tile, tun, *measurements)
     return len(pending)
 
 

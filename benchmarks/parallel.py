@@ -1,26 +1,15 @@
-"""Process-pool fan-out for independent benchmark simulations.
+"""Top-level workers for the benchmark harness's process-pool fan-out.
 
-The pool machinery now lives in :mod:`repro.runtime.parallel` (the
-pipelined ``InferenceSession`` uses it too); this module re-exports it
-for the benchmark scripts and keeps the benchmark-specific top-level
-workers.  Each (layer × strategy × device) measurement is an
-independent, pure computation, and results come back in deterministic
-input order; ``REPRO_BENCH_PARALLEL=0`` / ``REPRO_BENCH_WORKERS`` are
-honoured as before.  See ``docs/simulation_performance.md``.
+The pool itself is :func:`repro.runtime.parallel.parallel_map`; its
+workers must live at module top level so they pickle by reference, and
+these two are the benchmark-specific ones.  Each (device, tunables)
+measurement is an independent, pure computation.  See
+``docs/simulation_performance.md``.
 """
 
 from __future__ import annotations
 
-from repro.runtime.parallel import (  # noqa: F401
-    _parallel_enabled,
-    default_workers,
-    parallel_map,
-)
 
-
-# ---------------------------------------------------------------------------
-# Top-level workers (picklable by reference) for the benchmark harness.
-# ---------------------------------------------------------------------------
 def main_loop_worker(args):
     """Compute one (device, tunables) main-loop measurement."""
     device_name, tunables = args
@@ -34,10 +23,10 @@ def main_loop_worker(args):
 
 
 def layer_measurements_worker(args):
-    """Compute one device's (main, overhead, overhead_fma) triple."""
-    device_name, tunables = args
+    """Compute one (device, tile, tunables) (main, overhead, overhead_fma) triple."""
+    device_name, tile, tunables = args
     from repro.gpusim import DEVICES
     from repro.perfmodel.layer_model import _measurements
+    from repro.winograd.tilespec import get_tile
 
-    main, overhead, overhead_fma = _measurements(DEVICES[device_name], tunables)
-    return main, overhead, overhead_fma
+    return _measurements(DEVICES[device_name], get_tile(tile), tunables)

@@ -1,4 +1,7 @@
-"""Whole-layer performance of the generated kernel, from the simulator.
+"""Whole-layer performance of the generated kernels, from the simulator.
+
+The one fused-layer cost model: the figures, Table 6 and the serving
+fleet's placement bids all come from :func:`our_layer_performance`.
 
 A full ResNet layer runs billions of lane-FFMAs — far too many to
 simulate instruction by instruction in Python — so the layer model does
@@ -9,15 +12,17 @@ what one does on real hardware with a single-SM microbenchmark:
 2. measure the **per-block overhead** (prologue + first staging +
    output transform) by simulating the *full* kernel on a surrogate
    problem and subtracting the main-loop portion;
-3. extrapolate: ``time = waves × block_cycles / clock`` with
-   ``waves = ⌈blocks / (SMs · occupancy)⌉`` — which also captures the
-   small-batch tail effect behind the Conv4N32/Conv5N32 SOL dips in
+3. extrapolate: ``time = waves × (overhead + iters × cycles/iter) / clock``
+   with ``waves = ⌈blocks / (SMs · occupancy)⌉`` — which also captures
+   the small-batch tail effect behind the Conv4N32/Conv5N32 SOL dips in
    Figs. 10-11.
 
-Per-block work is layer-independent at fixed (bk, bn, bc) — layers only
-change the iteration count (C/8), the grid size and the tail — so the
-two measurements are cached per (device, tunables) pair and reused for
-all 16 layers.
+Per-block work is layer-independent at fixed (tile family, tunables) —
+layers only change the iteration count (C/bc), the grid size and the
+tail — so the two measurements are cached per (device, tile, tunables)
+and reused for all 16 layers.  Both families are measured on the same
+surrogate the schedule search scores candidates on, so costing a
+searched winner reuses the search's rung-0 simulations.
 """
 
 from __future__ import annotations
@@ -25,15 +30,23 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from ..common.errors import ModelError, SimLaunchError
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec
 from ..kernels.cache import build_fused_kernel, sim_cache_key, simulation_cache
 from ..kernels.runner import (
     MainLoopMeasurement,
+    _main_loop_arena,
     _simulate_main_loop,
     measure_main_loop,
 )
-from ..kernels.winograd_f22 import BC, BN, Tunables, WinogradF22Kernel
+from ..kernels.winograd_fused import (
+    THREADS,
+    Tunables,
+    default_tunables,
+    kernel_for_tile,
+)
+from ..winograd.tilespec import TileSpec, get_tile
 
 _SURROGATE = ConvProblem(n=32, c=32, h=16, w=16, k=64, name="surrogate")
 
@@ -42,17 +55,18 @@ _cache: dict = {}
 
 def prime_measurement_cache(
     device_name: str,
+    tile: str,
     tunables: Tunables,
     main: MainLoopMeasurement,
     overhead: float,
     overhead_fma: float,
 ) -> None:
-    """Seed the per-(device, tunables) measurement memo.
+    """Seed the per-(device, tile, tunables) measurement memo.
 
     Used by the parallel benchmark harness to install measurements that
     were computed in worker processes, so the parent never re-simulates.
     """
-    _cache[(device_name, tunables)] = (main, overhead, overhead_fma)
+    _cache[(device_name, tile, tunables)] = (main, overhead, overhead_fma)
 
 
 @dataclasses.dataclass
@@ -74,20 +88,20 @@ class LayerPerformance:
 
 
 def _measurements(
-    device: DeviceSpec, tunables: Tunables
+    device: DeviceSpec, spec: TileSpec, tunables: Tunables
 ) -> tuple[MainLoopMeasurement, float, float]:
     """(main-loop measurement, overhead cycles, overhead fma-busy) cached."""
-    key = (device.name, tunables)
+    key = (device.name, spec.name, tunables)
     if key in _cache:
         return _cache[key]
     surrogate = _SURROGATE
-    if tunables.bk != 64:
+    if tunables.bk != spec.bk:  # f22 at bk=32
         surrogate = dataclasses.replace(surrogate, k=tunables.bk)
-    main = measure_main_loop(surrogate, device, tunables, iters=3)
+    main = measure_main_loop(surrogate, device, tunables, iters=3, tile=spec)
     # Full kernel (with OTF epilogue) at the same iteration count → the
     # difference is prologue + staging + epilogue ("overhead").
-    full = _simulate_full_kernel(surrogate, device, tunables, iters=3)
-    main_only = _simulate_main_loop(surrogate, device, tunables, 3, None)
+    full = _simulate_full_kernel(surrogate, device, tunables, 3, spec)
+    main_only = _simulate_main_loop(surrogate, device, tunables, 3, None, tile=spec)
     overhead = max(
         0.0, full.counters.cycles - main_only.counters.cycles
     ) + (main_only.counters.cycles - 3 * main.cycles_per_iter)
@@ -99,34 +113,29 @@ def _measurements(
     return result
 
 
-def _simulate_full_kernel(prob, device, tunables, iters):
+def _simulate_full_kernel(prob, device, tunables, iters, spec):
     """Resident-blocks run of the *full* kernel (with epilogue), memoized
-    in the simulation cache exactly like the main-loop-only runs."""
+    in the simulation cache and laid out in the same buffer image as the
+    main-loop-only runs."""
     from ..gpusim.launch import LaunchResult, simulate_resident_blocks
-    from ..gpusim.memory import GlobalMemory
 
     cache = simulation_cache()
     key = sim_cache_key(
         "layer_overhead_full",
         prob=prob, device=device, tunables=tunables, iters=iters,
+        tile=spec.name,
     )
     payload = cache.get(key)
     if payload is not None:
         return LaunchResult.from_payload(payload)
     kernel_full = build_fused_kernel(
-        prob, tunables, device.name, main_loop_only=False, iters=iters
+        prob, tunables, device.name, main_loop_only=False, iters=iters,
+        tile=spec,
     )
-    gmem = GlobalMemory(size=128 << 20)
-    p = prob
-    in_ptr = gmem.alloc(4 * (p.c + BC) * p.h * p.w * p.n)
-    fil_ptr = gmem.alloc(4 * (p.c + BC) * 16 * p.k, l2_resident=True)
-    out_ptr = gmem.alloc(4 * p.k * p.out_h * p.out_w * p.n)
+    gmem, params = _main_loop_arena(prob, spec)
     result = simulate_resident_blocks(
-        kernel_full,
-        device,
-        params={"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr},
-        gmem=gmem,
-        threads_per_block=256,
+        kernel_full, device, params=params, gmem=gmem,
+        threads_per_block=THREADS,
     )
     cache.put(key, result.to_payload())
     return result
@@ -136,17 +145,31 @@ def our_layer_performance(
     prob: ConvProblem,
     device: DeviceSpec,
     tunables: Tunables | None = None,
+    tile=None,
 ) -> LayerPerformance:
-    """Predict the fused kernel's full-layer execution on *device*."""
-    tunables = tunables or Tunables()
-    main, overhead, overhead_fma = _measurements(device, tunables)
-    gen = WinogradF22Kernel(prob, tunables)
+    """Predict the *tile* family's fused kernel over a full layer on *device*.
+
+    Raises :class:`~repro.common.errors.ModelError` when the kernel's
+    registers or shared memory leave no block resident on *device*.
+    """
+    spec = get_tile(tile)
+    tunables = tunables or default_tunables(spec)
+    gen = kernel_for_tile(prob, spec, tunables)
     blocks = gen.grid[0] * gen.grid[1]
     # The header metadata (registers, smem) is layer-independent and
-    # known without assembling — identical to kernel.meta by
-    # construction, so the per-layer build the seed did here was waste.
-    occupancy = device.occupancy(256, gen.num_regs, gen.launch_smem_bytes)
-    iters = prob.c // BC
+    # known without assembling — identical to kernel.meta by construction.
+    try:
+        occupancy = device.occupancy(THREADS, gen.num_regs, gen.launch_smem_bytes)
+    except SimLaunchError:
+        occupancy = 0
+    if occupancy < 1:
+        raise ModelError(
+            f"{spec.name} kernel ({gen.num_regs} registers, "
+            f"{gen.launch_smem_bytes} B smem/block) cannot be resident "
+            f"on {device.name}"
+        )
+    main, overhead, overhead_fma = _measurements(device, spec, tunables)
+    iters = prob.c // spec.bc
     block_cycles = overhead + iters * main.cycles_per_iter
     waves = math.ceil(blocks / (device.num_sms * occupancy))
     time_s = waves * block_cycles / (device.clock_ghz * 1e9)

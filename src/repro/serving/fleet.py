@@ -5,9 +5,8 @@ The paper evaluates on two machines (Tesla V100 and RTX 2070) and its
 kernel keeps two blocks resident on Volta's 96 KB SMs but only one on
 Turing's 64 KB.  A serving deployment therefore faces a *placement*
 problem — which simulated device should host which model — and the
-right input to that decision is the same machinery the runtime already
-trusts: the schedule search's measured main-loop cycles, the kernel
-generators' launch metadata, and :meth:`DeviceSpec.occupancy`.
+right input to that decision is the same machinery the figures already
+trust: the schedule search and the simulator-driven layer model.
 
 :class:`FleetRouter` owns one :class:`~repro.serving.frontend.ServingFrontend`
 per device plus a per-device *planning*
@@ -17,10 +16,11 @@ schedule.  ``register_model`` estimates the model's steady-state cost on
 every device:
 
 * fused-eligible layers (3×3 / pad-1 / stride-1) are costed with the
-  wave model — ``waves × iters × winner_cycles / clock`` — using the
-  device's **own searched schedule** winner and the generator's real
-  launch metadata (grid, registers, shared memory), so the estimate is
-  workspace- and occupancy-aware;
+  layer model (:func:`~repro.perfmodel.layer_model.our_layer_performance`,
+  ``waves × (overhead + iters × cycles/iter) / clock``) under the
+  device's **own searched schedule** winner, so the estimate carries
+  the generator's real launch metadata (grid, registers, shared
+  memory) and is occupancy-aware — the same model every figure reports;
 * everything else falls back to the calibrated analytical models
   (:func:`repro.perfmodel.selection.predicted_time`), with workspace
   exclusions from :func:`~repro.perfmodel.selection.rank_algorithms`.
@@ -48,7 +48,7 @@ from ..runtime.context import ExecutionContext
 from .config import ServingConfig
 from .frontend import ModelSpec, ServingFrontend
 
-#: Fused tile families the router costs with the wave model, mapped from
+#: Fused tile families the router costs with the layer model, mapped from
 #: the dispatcher algorithm names ``rank_algorithms`` emits.
 _FUSED_FAMILIES = {"WINOGRAD": "f22", "WINOGRAD_F44": "f44"}
 
@@ -184,35 +184,24 @@ class FleetRouter:
     # Cost model
     # ------------------------------------------------------------------
     def _fused_layer_cost(self, dev: _FleetDevice, prob, family: str) -> float:
-        """Wave-model seconds of one fused layer on *dev*.
+        """Layer-model seconds of one fused layer on *dev*.
 
-        Uses the device's own searched schedule winner (memoized on the
-        planning context's book) and the generator's launch metadata, so
-        two devices bid with their genuinely different occupancies and
-        measured main-loop throughputs.
+        :func:`~repro.perfmodel.layer_model.our_layer_performance` under
+        the device's own searched schedule winner (memoized on the
+        planning context's book), run in the planning context so the
+        search's rung-0 simulations are reused.
         """
-        from ..kernels.winograd_fused import kernel_for_tile
+        from ..perfmodel.layer_model import our_layer_performance
+        from ..runtime import activate
         from ..sched.search import ensure_schedule
-        from ..winograd.tilespec import get_tile
 
-        spec = get_tile(family)
         result = ensure_schedule(
             device=dev.spec, config=self.search_config,
-            context=dev.planning, tile=spec,
+            context=dev.planning, tile=family,
         )
-        tunables = result.best.schedule.to_tunables(None, spec)
-        gen = kernel_for_tile(prob, spec, tunables)
-        blocks = gen.grid[0] * gen.grid[1]
-        occupancy = dev.spec.occupancy(256, gen.num_regs, gen.launch_smem_bytes)
-        if occupancy < 1:
-            raise ServingError(
-                f"{family} kernel cannot be resident on {dev.key} "
-                f"({gen.launch_smem_bytes} B smem/block)"
-            )
-        iters = prob.c // spec.bc
-        waves = math.ceil(blocks / (dev.spec.num_sms * occupancy))
-        cycles = waves * iters * result.best.cycles_per_iter
-        return cycles / (dev.spec.clock_ghz * 1e9)
+        tunables = result.best.schedule.to_tunables(None, family)
+        with activate(dev.planning):
+            return our_layer_performance(prob, dev.spec, tunables, family).time_s
 
     def _model_cost(self, model: ModelSpec, dev: _FleetDevice) -> tuple[float, list[str]]:
         """(estimated seconds, costing notes) for a full-batch pass."""

@@ -9,7 +9,6 @@ from repro.gpusim import (
     RTX2070,
     V100,
     build_const_bank,
-    estimate_grid_time,
     run_grid,
     simulate_resident_blocks,
 )
@@ -213,16 +212,6 @@ def test_unknown_param_rejected():
 def test_threads_must_be_warp_multiple():
     with pytest.raises(SimLaunchError):
         run_grid(_demo(), V100, 1, 33, {}, GlobalMemory(1 << 12))
-
-
-def test_estimate_grid_time_waves():
-    kernel = _demo()
-    gmem = GlobalMemory(1 << 12)
-    res = simulate_resident_blocks(kernel, V100, params={}, gmem=gmem,
-                                   threads_per_block=32, num_blocks=1)
-    one_wave = estimate_grid_time(V100, res, total_blocks=80, blocks_simulated=1)
-    two_waves = estimate_grid_time(V100, res, total_blocks=81, blocks_simulated=1)
-    assert two_waves == pytest.approx(2 * one_wave)
 
 
 def test_occupancy_zero_rejected():

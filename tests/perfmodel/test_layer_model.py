@@ -1,8 +1,11 @@
 """The simulator-driven whole-layer model."""
 
+import math
+
 import pytest
 
 from repro.gpusim import RTX2070, V100
+from repro.kernels.winograd_fused import WinogradF44Kernel
 from repro.models import resnet_layer
 from repro.perfmodel import our_layer_performance
 
@@ -28,6 +31,22 @@ def test_blocks_and_waves(conv3_n32):
     # Conv3N32: 14×14 tiles × 32 / 32 per block × (128/64) k-blocks.
     assert r.blocks == 14 * 14 * 32 // 32 * 2
     assert r.waves == -(-r.blocks // (80 * r.occupancy))
+
+
+@pytest.mark.parametrize("device", [RTX2070, V100], ids=lambda d: d.name)
+def test_f44_layer(device):
+    """F(4x4): bk=16, bn=32, bc=8 blocking, its own measured overhead,
+    and waves from the F44 launch metadata's occupancy."""
+    prob = resnet_layer("Conv3", 32)
+    r = our_layer_performance(prob, device, tile="f44")
+    assert r.overhead_cycles > 0
+    assert r.iters == prob.c // 8
+    tiles = math.ceil(prob.out_h / 4) * math.ceil(prob.out_w / 4)
+    assert r.blocks == math.ceil(prob.n * tiles / 32) * math.ceil(prob.k / 16)
+    gen = WinogradF44Kernel(prob)
+    occupancy = device.occupancy(256, gen.num_regs, gen.launch_smem_bytes)
+    assert r.occupancy == occupancy
+    assert r.waves == math.ceil(r.blocks / (device.num_sms * occupancy))
 
 
 def test_time_scales_with_batch():
@@ -68,4 +87,4 @@ def test_measurement_cache_reused():
     our_layer_performance(resnet_layer("Conv2", 32), V100)
     n_entries = len(layer_model._cache)
     our_layer_performance(resnet_layer("Conv5", 128), V100)
-    assert len(layer_model._cache) == n_entries  # same (device, tunables)
+    assert len(layer_model._cache) == n_entries  # same (device, tile, tunables)

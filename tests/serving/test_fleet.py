@@ -2,25 +2,37 @@
 
 Routing tests inject a cost function so no schedule search runs; one
 submit round-trip drives the full stack (router → frontend → session)
-on a tiny problem.
+on a tiny problem.  The real-cost tests pin the schedule search to a
+fixed winner and check the bids against the layer model.
 """
 
 import asyncio
+import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ServingError
+from repro.common.errors import ModelError, ServingError
 from repro.common.problem import ConvProblem
-from repro.gpusim import RTX2070, V100
+from repro.gpusim import DEVICES, RTX2070, V100, register_device
+from repro.models.resnet import resnet_layer
+from repro.perfmodel import our_layer_performance
+from repro.perfmodel.selection import predicted_time, rank_algorithms
+from repro.sched import PAPER_SCHEDULE
 from repro.serving import FleetRouter, ModelSpec, ServingConfig
 
 TINY = ConvProblem(n=1, c=8, h=8, w=8, k=8, name="tiny")
 
+FUSED = {"WINOGRAD": "f22", "WINOGRAD_F44": "f44"}
 
-def _model(name: str, prob: ConvProblem = TINY) -> ModelSpec:
-    filt = np.ones((prob.k, prob.c, prob.r, prob.s), dtype=np.float32)
-    return ModelSpec(name=name, problems=(prob,), filters=(filt,))
+
+def _model(name: str, *problems: ConvProblem) -> ModelSpec:
+    problems = problems or (TINY,)
+    filters = tuple(
+        np.ones((p.k, p.c, p.r, p.s), dtype=np.float32) for p in problems
+    )
+    return ModelSpec(name=name, problems=problems, filters=filters)
 
 
 def _router(costs, **kwargs):
@@ -130,26 +142,77 @@ def test_stats_exports_routing_decisions_and_per_device_load():
     assert stats["devices"]["RTX2070"]["load_s"] == pytest.approx(2.0)
 
 
+def _pin_search_winner(monkeypatch, schedule=PAPER_SCHEDULE):
+    """Make every device's schedule search return *schedule* unsimulated."""
+    monkeypatch.setattr(
+        "repro.sched.search.ensure_schedule",
+        lambda **kw: types.SimpleNamespace(
+            best=types.SimpleNamespace(schedule=schedule)
+        ),
+    )
+    return schedule
+
+
 def test_real_cost_model_is_occupancy_and_device_aware(monkeypatch):
-    """With the measured-cycles path patched to a flat per-device value,
-    the wave-model cost still differs across devices through their SM
-    counts and occupancies — V100 (80 SMs) must underbid RTX2070
-    (36 SMs) for a fused-eligible layer."""
-    import types
-
-    from repro.models.resnet import resnet_layer
-
-    def fake_ensure(device=None, config=None, context=None, tile=None):
-        from repro.sched.space import PAPER_SCHEDULE
-        return types.SimpleNamespace(
-            best=types.SimpleNamespace(
-                schedule=PAPER_SCHEDULE, cycles_per_iter=1000.0
-            ),
-            budget=types.SimpleNamespace(base_iters=3),
-            tile="f22",
-        )
-
-    monkeypatch.setattr("repro.sched.search.ensure_schedule", fake_ensure)
+    """With both devices bidding the same schedule, the layer-model cost
+    still differs across devices through their SM counts, occupancies
+    and measured cycles — V100 (80 SMs) must underbid RTX2070 (36 SMs)
+    for a fused-eligible layer."""
+    _pin_search_winner(monkeypatch)
     router = FleetRouter(("V100", "RTX2070"), ServingConfig(max_batch=32))
     decision = router.place("t", _model("conv3", resnet_layer("Conv3", n=1)))
     assert decision.costs["V100"] < decision.costs["RTX2070"]
+
+
+def test_fleet_bid_is_the_layer_model(monkeypatch):
+    """Every layer bids the cheapest ranked algorithm, fused ones costed
+    by ``our_layer_performance`` under the searched winner."""
+    winner = _pin_search_winner(monkeypatch)
+    config = ServingConfig(max_batch=32)
+    router = FleetRouter(("V100", "RTX2070"), config)
+    problems = tuple(resnet_layer(name, n=1) for name in ("Conv2", "Conv5"))
+    decision = router.place("t", _model("stack", *problems))
+    for key, spec in (("V100", V100), ("RTX2070", RTX2070)):
+        expected = 0.0
+        for prob in problems:
+            batched = prob.with_batch(config.max_batch)
+            ranked, _ = rank_algorithms(batched, spec, config.workspace_limit_bytes)
+            assert set(FUSED) <= set(ranked)
+            expected += min(
+                our_layer_performance(
+                    batched, spec, winner.to_tunables(None, FUSED[algo]),
+                    FUSED[algo],
+                ).time_s
+                if algo in FUSED else predicted_time(batched, spec, algo)
+                for algo in ranked
+            )
+        assert decision.costs[key] == expected
+        assert decision.notes[key] == []
+
+
+def test_non_resident_fused_kernel_bids_predicted_time(monkeypatch):
+    """A device whose shared memory cannot hold the fused blocks makes
+    the layer model raise; the fleet notes it and bids the analytical
+    ``predicted_time`` instead."""
+    monkeypatch.setitem(DEVICES, "SMEM32K", RTX2070)
+    del DEVICES["SMEM32K"]  # monkeypatch restores the dict afterwards
+    spec = register_device("SMEM32K", dataclasses.replace(
+        RTX2070, name="RTX2070 (32 KB smem)",
+        smem_per_sm=32 * 1024, smem_per_block=32 * 1024,
+    ))
+    _pin_search_winner(monkeypatch)  # no search simulation on this device
+    config = ServingConfig(max_batch=32)
+    prob = resnet_layer("Conv3", n=1)
+    batched = prob.with_batch(config.max_batch)
+    with pytest.raises(ModelError, match="cannot be resident"):
+        our_layer_performance(batched, spec)
+
+    router = FleetRouter(("SMEM32K",), config)
+    decision = router.place("t", _model("conv3", prob))
+    ranked, _ = rank_algorithms(batched, spec, config.workspace_limit_bytes)
+    assert decision.costs["SMEM32K"] == min(
+        predicted_time(batched, spec, algo) for algo in ranked
+    )
+    notes = decision.notes["SMEM32K"]
+    for algo in FUSED:
+        assert any(f"{algo} -> model" in note for note in notes)
