@@ -10,6 +10,14 @@ on each, prints the text reports, writes the ``--json`` reports to a
 directory for the CI artifact, and exits non-zero if any kernel has a
 diagnostic at or above ``--fail-on`` severity (default: ``error``).
 
+A full run (not ``--no-space``) also writes a digest of every kernel's
+diagnostics to ``benchmarks/results/lint_digest.txt``: one line per
+kernel with its name, the count per rule and severity, and a SHA-256
+prefix over every diagnostic's rule, severity, position and message, so
+a moved position or reworded message changes it too.  That file is
+checked in, so a change to any warning, info or error shows up in
+``git diff``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/lint_kernels.py [--json-dir DIR]
@@ -19,6 +27,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import collections
+import hashlib
 import pathlib
 import sys
 
@@ -41,6 +51,7 @@ from repro.sass.analysis import (
 from repro.sched import DEFAULT_SPACE, F44_SPACE
 
 PROB = ConvProblem(n=32, c=64, h=28, w=28, k=64)
+DIGEST = pathlib.Path(__file__).resolve().parent / "results" / "lint_digest.txt"
 
 TUNABLE_SWEEP = [
     ("default", Tunables()),
@@ -99,6 +110,22 @@ def space_kernels():
         )
 
 
+def digest_line(name: str, diagnostics) -> str:
+    """``name<TAB>RULE/severity=count ...<TAB>hash`` for one kernel."""
+    counts = collections.Counter(
+        f"{d.rule}/{d.severity.value}" for d in diagnostics
+    )
+    full = "\n".join(
+        f"{d.rule}\t{d.severity.value}\t{d.pos}\t{d.message}"
+        for d in diagnostics
+    )
+    return "\t".join((
+        name,
+        " ".join(f"{key}={counts[key]}" for key in sorted(counts)) or "-",
+        hashlib.sha256(full.encode()).hexdigest()[:16],
+    ))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json-dir", default=None,
@@ -122,8 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         kernels.extend(space_kernels())
 
     failed = []
+    digest = []
     for name, kernel in kernels:
         diagnostics = lint_kernel(kernel)
+        digest.append(digest_line(name, diagnostics))
         print(render_text(diagnostics, kernel_name=name))
         print()
         if json_dir is not None:
@@ -134,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         worst = max_severity(diagnostics)
         if worst is not None and worst.rank >= threshold.rank:
             failed.append(name)
+
+    if not args.no_space:
+        DIGEST.write_text("\n".join(digest) + "\n")
 
     if failed:
         print(f"FAIL: {args.fail_on}-severity diagnostics in: "

@@ -21,11 +21,20 @@ reuse cache left by the dynamically-previous participating instruction.
 predecessor's reuse flags.  The timing loop then only tracks *which*
 predecessor applies (one int per warp) and whether the cache survived
 (cleared by warp switches and yield flags, §6.1).
+
+A timing study reads only addresses, active masks and branch guards,
+never arithmetic results.  :meth:`DecodedProgram.timing_slice` marks the
+instructions whose results feed those (a backward slice over reaching
+definitions), so the replay can skip everything else.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ..common.errors import SimulatorError
+from ..sass.analysis.cfg import BasicBlock, build_cfg
+from ..sass.analysis.dataflow import solve_forward
 from ..sass.control import NO_BARRIER
 from ..sass.instruction import Instruction
 from ..sass.isa import RZ, SETP_BOOL, SETP_CMP, SPECIAL_REGISTERS, width_of
@@ -172,6 +181,9 @@ class DecodedProgram:
         self._conflict_memo: dict[tuple[int, int], bool] = {}
         # Replay records.
         self.instrs: list[DecodedInstr] = []
+        # Lazily computed timing slice; a one-slot holder so trip-count
+        # siblings with the same dataflow share it (see derive_decode).
+        self._slice: list[list[bool]] = []
 
         for i, instr in enumerate(program):
             self._decode_one(i, instr)
@@ -186,6 +198,17 @@ class DecodedProgram:
             hit = _bank_conflict(self._src_regs[i], self.reuse_map[prev])
             self._conflict_memo[key] = hit
         return hit
+
+    def timing_slice(self) -> list[bool]:
+        """Per instruction: must a timing study execute its data effect?
+
+        False marks an ALU/ISETP/S2R/LDC/P2R/R2P result nothing timing
+        reads, and a load or store whose data no address, active mask or
+        branch guard depends on (its footprint is still computed).
+        """
+        if not self._slice:
+            self._slice.append(_timing_slice(self))
+        return self._slice[0]
 
     # ------------------------------------------------------------------
     def _decode_one(self, i: int, instr: Instruction) -> None:
@@ -319,6 +342,190 @@ class DecodedProgram:
 
 
 # ---------------------------------------------------------------------------
+# Timing slice.  Dataflow locations: R0-R254 are 0-254, P0-P6 are
+# 256-262; RZ and PT are constants and never tracked.  The def/use sets
+# below are the replay's (fastsim._Replay), not the ISA's.
+# ---------------------------------------------------------------------------
+_PRED_LOC = 256
+_MEM_KINDS = (K_MEM_GLOBAL, K_MEM_SHARED)
+_LOAD_KINDS = _MEM_KINDS + (K_MEM_CONST,)
+
+
+def _regs(first: int, count: int = 1) -> tuple[int, ...]:
+    return tuple(r for r in range(first, first + count) if r < RZ)
+
+
+def _pred_bits(mask: int) -> tuple[int, ...]:
+    return tuple(_PRED_LOC + p for p in range(7) if mask >> p & 1)
+
+
+def _guard_locs(d: DecodedInstr) -> tuple[int, ...]:
+    return () if d.guard_idx == 7 else (_PRED_LOC + d.guard_idx,)
+
+
+def _footprint_locs(d: DecodedInstr) -> tuple[int, ...]:
+    """What an access's address and active mask are computed from."""
+    return _guard_locs(d) + _regs(d.mem_base, 2 if d.mem_extended else 1)
+
+
+def _root_locs(d: DecodedInstr) -> tuple[int, ...]:
+    """Locations a timing study reads at this instruction."""
+    if d.kind in _MEM_KINDS:
+        return _footprint_locs(d)
+    if d.kind in (K_EXIT, K_BRA, K_BAR):
+        return _guard_locs(d)
+    return ()
+
+
+def _def_locs(d: DecodedInstr) -> tuple[int, ...]:
+    k = d.kind
+    if k == K_ALU:
+        return _regs(d.dest, 2 if d.name == "IMAD" and d.imad_wide else 1)
+    if k == K_S2R or k == K_P2R:
+        return _regs(d.dest)
+    if k in _LOAD_KINDS and d.is_load:
+        return _regs(d.dest, d.mem_width // 4)
+    if k == K_ISETP:
+        return _pred_bits(1 << d.setp_dest)
+    if k == K_R2P:
+        return _pred_bits(d.pack_mask)
+    return ()
+
+
+def _use_locs(d: DecodedInstr) -> tuple[int, ...]:
+    """Locations read when the instruction executes its data effect."""
+    k = d.kind
+    locs = _guard_locs(d)
+    if k in (K_ALU, K_ISETP, K_R2P):
+        for src in d.srcs:
+            if src[0] == SRC_REG:
+                locs += _regs(src[1])
+        if k == K_ALU and d.imad_wide and d.srcs[2][0] == SRC_REG:
+            locs += _regs(d.srcs[2][1] + 1)  # 64-bit addend's high word
+        if k == K_ISETP:
+            locs += _pred_bits(1 << d.setp_src_idx)
+    elif k == K_P2R:
+        locs += _pred_bits(d.pack_mask)
+    elif k in _LOAD_KINDS:
+        locs += _footprint_locs(d)
+        if not d.is_load and d.srcs[0][0] == SRC_REG:
+            locs += _regs(d.srcs[0][1], d.mem_width // 4)
+    return locs
+
+
+def _slice_signature(d: DecodedInstr) -> tuple:
+    return (
+        d.kind, d.is_load, d.bra_target, d.guard_idx, d.guard_neg,
+        _def_locs(d), _use_locs(d), _root_locs(d),
+    )
+
+
+def _timing_slice(dp: DecodedProgram) -> list[bool]:
+    """Backward slice from every timing read, per definition.
+
+    Reaching definitions over the CFG (a guarded write does not kill)
+    map each use to the exact writes that can supply it, so a register
+    reused for arithmetic and later for addressing keeps only its
+    address-side writes.  A load in the slice pulls in every store to
+    its memory space, since any of them may have produced the value.
+    """
+    instrs = dp.instrs
+    cfg = build_cfg(dp.program)
+    kills = [d.guard_idx == 7 and not d.guard_neg for d in instrs]
+
+    # Number every (instruction, location) definition.
+    def_pos: list[int] = []
+    defs_at: list[list[tuple[int, int]]] = []
+    loc_mask: dict[int, int] = {}
+    loc_def_pos: dict[int, list[int]] = {}
+    for i, d in enumerate(instrs):
+        here = []
+        for loc in _def_locs(d):
+            did = len(def_pos)
+            def_pos.append(i)
+            here.append((loc, did))
+            loc_mask[loc] = loc_mask.get(loc, 0) | (1 << did)
+            loc_def_pos.setdefault(loc, []).append(i)
+        defs_at.append(here)
+
+    gen: list[int] = []
+    keep_in: list[int] = []
+    for block in cfg.blocks:
+        g = k = 0
+        for i in block.positions():
+            for loc, did in defs_at[i]:
+                if kills[i]:
+                    g &= ~loc_mask[loc]
+                    k |= loc_mask[loc]
+                g |= 1 << did
+        gen.append(g)
+        keep_in.append(~k)
+
+    def transfer(block: BasicBlock, state: int) -> int:
+        return gen[block.id] | (state & keep_in[block.id])
+
+    def join(states) -> int:
+        out = 0
+        for s in states:
+            out |= s
+        return out
+
+    in_states, _ = solve_forward(cfg, 0, transfer, join)
+
+    def reaching(pos: int, loc: int) -> list[int]:
+        positions = loc_def_pos.get(loc)
+        if positions is None:
+            return []
+        block = cfg.blocks[cfg.block_of[pos]]
+        out = []
+        for j in range(
+            bisect_left(positions, pos) - 1,
+            bisect_left(positions, block.start) - 1,
+            -1,
+        ):
+            out.append(positions[j])
+            if kills[positions[j]]:
+                return out
+        m = (in_states[block.id] or 0) & loc_mask[loc]
+        while m:
+            low = m & -m
+            out.append(def_pos[low.bit_length() - 1])
+            m ^= low
+        return out
+
+    stores = {
+        kind: [i for i, d in enumerate(instrs)
+               if d.kind == kind and not d.is_load]
+        for kind in _MEM_KINDS
+    }
+    keep = [False] * dp.n
+    work = [(i, loc) for i, d in enumerate(instrs) for loc in _root_locs(d)]
+    seen: set[tuple[int, int]] = set()
+    pulled: set[int] = set()
+
+    def add(j: int) -> None:
+        keep[j] = True
+        work.extend((j, loc) for loc in _use_locs(instrs[j]))
+
+    while work:
+        query = work.pop()
+        if query in seen:
+            continue
+        seen.add(query)
+        for j in reaching(*query):
+            if keep[j]:
+                continue
+            add(j)
+            dj = instrs[j]
+            if dj.is_load and dj.kind in stores and dj.kind not in pulled:
+                pulled.add(dj.kind)
+                for s in stores[dj.kind]:
+                    if not keep[s]:
+                        add(s)
+    return keep
+
+
+# ---------------------------------------------------------------------------
 # Decode cache: programs are immutable once assembled, so decoding is
 # keyed by object identity.  Strong references keep ids stable.
 # ---------------------------------------------------------------------------
@@ -370,6 +577,11 @@ def derive_decode(
     dp.instrs = sib.instrs[:idx]
     dp._decode_one(idx, new_program[idx])  # appends at position idx
     dp.instrs.extend(sib.instrs[idx + 1:])
+    # A changed immediate leaves the dataflow, hence the slice, as is.
+    same_flow = (
+        _slice_signature(dp.instrs[idx]) == _slice_signature(sib.instrs[idx])
+    )
+    dp._slice = sib._slice if same_flow else []
     if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
         _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
     _DECODE_CACHE[id(new_program)] = (new_program, dp)

@@ -18,7 +18,10 @@ This module splits the two concerns:
    :class:`SimulatorError` exactly like the reference engine.  The
    replay emits, per warp, a trace of instruction instances with their
    dynamic timing footprint (LSU occupancy, DRAM/L2 sectors, shared-
-   memory conflict cycles).
+   memory conflict cycles).  A timing study (``timing_only``) executes
+   only the slice of the program that addresses, active masks and
+   branch guards depend on; arithmetic outside it is skipped and memory
+   accesses outside it are checked and costed but move no data.
 
 2. **Timing loop** (:func:`_timed_run`): a scalar pass that replays the
    reference scheduler decision-for-decision — yield/stay preference,
@@ -32,7 +35,8 @@ This module splits the two concerns:
    that bit-for-bit.
 
 Engine selection lives in :meth:`repro.gpusim.sm.SMSimulator.run`
-(``REPRO_SIM_ENGINE=fast|reference``, default fast).
+(``REPRO_SIM_ENGINE=fast|reference``, default fast); the launch entry
+point decides between a functional run and a timing study.
 """
 
 from __future__ import annotations
@@ -159,52 +163,23 @@ def _conflict_cycles_group(
 
 
 # Candidate schedules of one problem share the synthetic buffer arena,
-# so global accesses with the same addresses classify identically — and
-# trip-count siblings repeat their first-iteration addresses exactly.
-# Keyed on the L2-residency ranges too, since those decide the split.
-_CLASSIFY_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_CLASSIFY_MEMO_MAX = 4096
+# and the double-buffered main loop touches the same address pattern
+# every iteration, so one access's footprint (LSU cycles, latency,
+# DRAM/L2 sectors, bank-conflict cycles) is re-derived on identical
+# inputs thousands of times per search.  It is a pure function of the
+# key, and an entry is made only once the access passed its bounds and
+# alignment checks, so a hit skips the checks as well as the math.
+_FOOTPRINT_MEMO: dict[tuple, tuple] = {}
+_FOOTPRINT_MEMO_MAX = 8192
 
 
-def _classify_cached(
-    gmem: GlobalMemory, addrs: np.ndarray, width: int, full: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    key = (
-        width, tuple(gmem._l2_resident), addrs.tobytes(), full.tobytes(),
-    )
-    hit = _CLASSIFY_MEMO.get(key)
-    if hit is None:
-        if len(_CLASSIFY_MEMO) >= _CLASSIFY_MEMO_MAX:
-            _CLASSIFY_MEMO.clear()
-        dram, l2 = _classify_group(gmem, addrs, width, full)
-        dram.setflags(write=False)
-        l2.setflags(write=False)
-        hit = (dram, l2)
-        _CLASSIFY_MEMO[key] = hit
-    return hit
-
-
-# The double-buffered main loop touches the same shared-memory address
-# pattern every iteration, so conflict analysis is re-run on identical
-# inputs thousands of times per search.  The report is a pure function
-# of (addrs, width, active mask) — memoize it module-wide.
-_CONFLICT_MEMO: dict[tuple, tuple[np.ndarray, int]] = {}
-_CONFLICT_MEMO_MAX = 4096
-
-
-def _conflict_cycles_cached(
-    addrs: np.ndarray, width: int, full: np.ndarray
-) -> tuple[np.ndarray, int]:
-    key = (width, addrs.tobytes(), full.tobytes())
-    hit = _CONFLICT_MEMO.get(key)
-    if hit is None:
-        if len(_CONFLICT_MEMO) >= _CONFLICT_MEMO_MAX:
-            _CONFLICT_MEMO.clear()
-        total, phases = _conflict_cycles_group(addrs, width, full)
-        total.setflags(write=False)
-        hit = (total, phases)
-        _CONFLICT_MEMO[key] = hit
-    return hit
+def _memo_footprint(key: tuple, dyn: tuple) -> tuple:
+    if len(_FOOTPRINT_MEMO) >= _FOOTPRINT_MEMO_MAX:
+        _FOOTPRINT_MEMO.clear()
+    for arr in dyn:
+        arr.setflags(write=False)
+    _FOOTPRINT_MEMO[key] = dyn
+    return dyn
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +212,19 @@ class _Group:
 
 class _Replay:
     def __init__(self, dp: DecodedProgram, device: DeviceSpec | None,
-                 gmem: GlobalMemory, blocks) -> None:
+                 gmem: GlobalMemory, blocks, timing_only: bool) -> None:
         self.dp = dp
         self.device = device
         self.gmem = gmem
+        # Per instruction: execute its data effect?  A timing study runs
+        # only the slice that feeds addresses, active masks and guards.
+        self.keep = dp.timing_slice() if timing_only else [True] * dp.n
+        self._gmem_key = (
+            gmem.size,
+            tuple(gmem._l2_resident),
+            None if device is None
+            else (device.lat_gmem_l2_hit, device.lat_gmem_l2_miss),
+        )
         nw = sum(b.num_warps for b in blocks)
         self.nw = nw
         self.regs = np.zeros((256, nw, 32), dtype=_U32)
@@ -268,6 +252,7 @@ class _Replay:
 
         self.smem_sizes = [max(b.smem_bytes, 16) for b in blocks]
         self.smem_size = max(self.smem_sizes)
+        self.warp_smem = np.array(self.smem_sizes, dtype=np.int64)[block_of]
         self.smem = np.zeros((len(blocks), self.smem_size), dtype=np.uint8)
         self.const = np.stack([b.const_bank for b in blocks])
         self._const_u32_cache: dict[int, np.ndarray] = {}
@@ -379,6 +364,7 @@ class _Replay:
         dp = self.dp
         instrs = dp.instrs
         kinds = dp.kind
+        keep = self.keep
         steps = g.seg.steps
         warps = g.warps
         pc = g.pc
@@ -392,9 +378,13 @@ class _Replay:
             d = instrs[pc]
             k = kinds[pc]
             if k <= K_R2P and k != K_MEM_GLOBAL and k != K_MEM_SHARED:
-                # Pure register-file ops: no trace dynamics.
+                # Pure register-file ops: no trace dynamics, so one
+                # outside the timing slice is merely recorded.
                 steps.append(pc)
                 n_steps += 1
+                if not keep[pc]:
+                    pc += 1
+                    continue
                 if k == K_ALU:
                     self._exec_alu(d, warps)
                 elif k == K_ISETP:
@@ -413,9 +403,9 @@ class _Replay:
                 steps.append(pc)
                 n_steps += 1
                 if k == K_MEM_GLOBAL:
-                    dyn = self._exec_gmem(d, warps)
+                    dyn = self._exec_gmem(d, warps, keep[pc])
                 else:
-                    dyn = self._exec_smem(d, warps)
+                    dyn = self._exec_smem(d, warps, keep[pc])
                 g.seg.dyn[len(steps) - 1] = dyn
                 pc += 1
                 continue
@@ -520,37 +510,49 @@ class _Replay:
             lo = lo | (hi << 32)
         return lo + d.mem_offset
 
-    def _exec_gmem(self, d, warps: np.ndarray) -> tuple:
+    def _exec_gmem(self, d, warps: np.ndarray, move: bool) -> tuple:
+        """Footprint of a global access; moves its data only if *move*."""
         g = len(warps)
         mask = self._mask(d, warps)
         full = np.ones((g, 32), dtype=bool) if mask is None else mask
         addrs = self._addrs(d, warps)
         width = d.mem_width
         gmem = self.gmem
-        dev = self.device
-        act = addrs[full]
-        if act.size and (
-            act.min() < 256
-            or act.max() + width > gmem.size
-            or np.any(act % width)
-        ):
-            # Faithful fault: re-check warp by warp for the message.
-            for j in range(g):
-                active = addrs[j][full[j]]
-                if active.size:
-                    self._check_gmem_lanes(active, width)
-        dram, l2 = _classify_cached(gmem, addrs, width, full)
-        cyc = np.maximum(1, full.sum(axis=1, dtype=np.int64) * width // 128)
-        if not d.is_load:
-            lat = np.full(g, 20, dtype=np.int64)
-        elif dev is None:
-            lat = np.full(g, 200, dtype=np.int64)
-        else:
-            lat = np.where(
-                (l2 > 0) & (dram == 0),
-                dev.lat_gmem_l2_hit,
-                dev.lat_gmem_l2_miss,
+        key = (
+            K_MEM_GLOBAL, width, d.is_load, self._gmem_key,
+            addrs.tobytes(), full.tobytes(),
+        )
+        dyn = _FOOTPRINT_MEMO.get(key)
+        if dyn is None:
+            act = addrs[full]
+            if act.size and (
+                act.min() < 256
+                or act.max() + width > gmem.size
+                or np.any(act % width)
+            ):
+                # Faithful fault: re-check warp by warp for the message.
+                for j in range(g):
+                    active = addrs[j][full[j]]
+                    if active.size:
+                        self._check_gmem_lanes(active, width)
+            dram, l2 = _classify_group(gmem, addrs, width, full)
+            cyc = np.maximum(1, full.sum(axis=1, dtype=np.int64) * width // 128)
+            dev = self.device
+            if not d.is_load:
+                lat = np.full(g, 20, dtype=np.int64)
+            elif dev is None:
+                lat = np.full(g, 200, dtype=np.int64)
+            else:
+                lat = np.where(
+                    (l2 > 0) & (dram == 0),
+                    dev.lat_gmem_l2_hit,
+                    dev.lat_gmem_l2_miss,
+                )
+            dyn = _memo_footprint(
+                key, (cyc, lat, dram, l2, np.zeros(g, dtype=np.int64))
             )
+        if not move:
+            return dyn
         nwords = width // 4
         offsets = np.arange(width, dtype=np.int64)
         if d.is_load:
@@ -577,7 +579,7 @@ class _Replay:
                 )
                 idx = addrs[full][:, None] + offsets[None, :]
                 gmem.data[idx] = raw
-        return (cyc, lat, dram, l2, np.zeros(g, dtype=np.int64))
+        return dyn
 
     def _check_gmem_lanes(self, addrs: np.ndarray, width: int) -> None:
         if addrs.min() < 256 or addrs.max() + width > self.gmem.size:
@@ -591,33 +593,41 @@ class _Replay:
                 f"misaligned {width}-byte global access at {bad:#x}"
             )
 
-    def _exec_smem(self, d, warps: np.ndarray) -> tuple:
+    def _exec_smem(self, d, warps: np.ndarray, move: bool) -> tuple:
+        """Footprint of a shared access; moves its data only if *move*."""
         g = len(warps)
         mask = self._mask(d, warps)
         full = np.ones((g, 32), dtype=bool) if mask is None else mask
         addrs = self._addrs(d, warps)
         width = d.mem_width
-        size = self.smem_size
-        blocks = self.block_of[warps]
         base_lat = (
             (self.device.lat_smem if self.device else 19) if d.is_load else 10
         )
-        sizes = np.array(
-            [self.smem_sizes[int(b)] for b in blocks], dtype=np.int64
+        sizes = self.warp_smem[warps]
+        key = (
+            K_MEM_SHARED, width, base_lat, sizes.tobytes(),
+            addrs.tobytes(), full.tobytes(),
         )
-        bad = full & ((addrs < 0) | (addrs + width > sizes[:, None]))
-        if bad.any() or np.any(addrs[full] % width):
-            for j in range(g):
-                active = addrs[j][full[j]]
-                if active.size:
-                    self._check_smem_lanes(active, width, int(sizes[j]))
-        cyc, phases = _conflict_cycles_cached(addrs, width, full)
-        sconf = cyc - phases
-        lat = base_lat + sconf
+        dyn = _FOOTPRINT_MEMO.get(key)
+        if dyn is None:
+            bad = full & ((addrs < 0) | (addrs + width > sizes[:, None]))
+            if bad.any() or np.any(addrs[full] % width):
+                for j in range(g):
+                    active = addrs[j][full[j]]
+                    if active.size:
+                        self._check_smem_lanes(active, width, int(sizes[j]))
+            cyc, phases = _conflict_cycles_group(addrs, width, full)
+            sconf = cyc - phases
+            zeros = np.zeros(g, dtype=np.int64)
+            dyn = _memo_footprint(
+                key, (cyc, base_lat + sconf, zeros, zeros, sconf)
+            )
+        if not move:
+            return dyn
         nwords = width // 4
         offsets = np.arange(width, dtype=np.int64)
         flat = self.smem.reshape(-1)
-        block_base = (self.block_of[warps] * size)[:, None]
+        block_base = (self.block_of[warps] * self.smem_size)[:, None]
         if d.is_load:
             vals = np.zeros((g, 32, nwords), dtype=_U32)
             if full.any():
@@ -639,10 +649,7 @@ class _Replay:
                 )
                 idx = (addrs + block_base)[full][:, None] + offsets[None, :]
                 flat[idx] = raw
-        return (
-            cyc, lat, np.zeros(g, dtype=np.int64),
-            np.zeros(g, dtype=np.int64), sconf,
-        )
+        return dyn
 
     def _check_smem_lanes(self, addrs: np.ndarray, width: int, size: int) -> None:
         if addrs.min() < 0 or addrs.max() + width > size:
@@ -1316,8 +1323,18 @@ def _timed_run(
 # ---------------------------------------------------------------------------
 
 
-def fast_run(device: DeviceSpec, program, gmem: GlobalMemory, blocks) -> Counters:
-    """Run one SM round (same contract as ``SMSimulator.run``)."""
+def fast_run(
+    device: DeviceSpec, program, gmem: GlobalMemory, blocks,
+    timing_only: bool = False,
+) -> Counters:
+    """Run one SM round (same contract as ``SMSimulator.run``).
+
+    With *timing_only* the replay executes only the timing slice
+    (:meth:`DecodedProgram.timing_slice`): the counters are identical,
+    every memory access is still bounds- and alignment-checked, but
+    loads and stores outside the slice move no data, so *gmem*'s
+    contents afterwards are unspecified.
+    """
     # Replay and timing allocate millions of short-lived containers
     # (trace tuples, numpy views); cyclic-GC passes over them cost more
     # than the garbage they could ever reclaim here, so pause collection
@@ -1327,7 +1344,7 @@ def fast_run(device: DeviceSpec, program, gmem: GlobalMemory, blocks) -> Counter
         gc.disable()
     try:
         dp = decode_program(program)
-        replay = _Replay(dp, device, gmem, blocks)
+        replay = _Replay(dp, device, gmem, blocks, timing_only)
         replay.run()
         traces = _assemble_traces(dp, replay)
         block_of = [int(b) for b in replay.block_of]

@@ -10,9 +10,10 @@ Typical flow::
                       params={"in_ptr": in_ptr, "out_ptr": out_ptr}, gmem=gmem)
     y = gmem.read_array(out_ptr, shape)
 
-``run_grid`` executes every block (functional correctness);
-``simulate_resident_blocks`` runs only one SM's worth of concurrent
-blocks for timing studies, and
+``run_grid`` executes every block (functional correctness; read outputs
+from its ``gmem``); ``simulate_resident_blocks`` runs only one SM's
+worth of concurrent blocks for timing studies, which execute only what
+the counters depend on and leave ``gmem`` contents unspecified, and
 :func:`repro.perfmodel.layer_model.our_layer_performance` extrapolates a
 full launch from such measurements the way one extrapolates from a
 single-SM microbenchmark on real hardware.
@@ -189,7 +190,14 @@ def simulate_resident_blocks(
     num_blocks: int | None = None,
     first_block: int = 0,
 ) -> LaunchResult:
-    """Run one SM's worth of concurrently-resident blocks (timing study)."""
+    """Run one SM's worth of concurrently-resident blocks (timing study).
+
+    Only the counters are meaningful: the simulator executes just the
+    instructions that addresses, active masks and branch guards depend
+    on (every access is still bounds- and alignment-checked), so
+    *gmem*'s contents afterwards are unspecified.  Use :func:`run_grid`
+    to read a kernel's outputs.
+    """
     meta, program = _kernel_parts(kernel)
     occupancy = device.occupancy(threads_per_block, meta.registers, meta.smem_bytes)
     if occupancy == 0:
@@ -207,7 +215,7 @@ def simulate_resident_blocks(
         mode="resident_blocks",
     ):
         sim = SMSimulator(device, program, gmem)
-        counters = sim.run(specs)
+        counters = sim._run(specs, timing_only=True)
     return LaunchResult(counters=counters, groups=1, occupancy=occupancy)
 
 
@@ -227,7 +235,8 @@ def simulate_batch(
     program is decoded once up front (the schedule search's
     successive-halving rungs and the perf-regression sweep route their
     candidate measurements through here).  Results are returned in job
-    order.
+    order.  Like :func:`simulate_resident_blocks`, each job is a timing
+    study: afterwards *gmem*'s contents are unspecified.
     """
     from .decode import decode_program
 

@@ -85,11 +85,17 @@ class SMSimulator:
 
     # ------------------------------------------------------------------
     def run(self, blocks: list[BlockSpec]) -> Counters:
+        return self._run(blocks, timing_only=False)
+
+    def _run(self, blocks: list[BlockSpec], timing_only: bool) -> Counters:
+        """Run *blocks*; a timing study (``timing_only``, chosen by the
+        launch API) leaves global memory contents unspecified."""
         if os.environ.get("REPRO_SIM_ENGINE", "fast") != "reference":
             from .fastsim import fast_run
 
             self.counters = fast_run(
-                self.device, self.program, self.gmem, blocks
+                self.device, self.program, self.gmem, blocks,
+                timing_only=timing_only,
             )
             return self.counters
         return self._run_reference(blocks)

@@ -33,6 +33,8 @@ Rules:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from typing import Iterable
 
 import numpy as np
 
@@ -54,8 +56,8 @@ class _AccessInfo:
     name: str
     is_store: bool
     guard: tuple[int, bool]  # (pred index, active value) or _NO_GUARD
-    per_warp: list[frozenset[int]]  # 32-bit word indices per warp
-    union: frozenset[int]
+    words: np.ndarray  # sorted distinct 32-bit word indices touched
+    warps: np.ndarray  # per word: bitmask of the warps that touch it
     cross_warp_write_overlap: bool  # the access races with itself
 
 
@@ -64,21 +66,29 @@ def _access_info(ctx: AnalysisContext) -> dict[int, _AccessInfo]:
     for access in shared_access_table(ctx):
         if access.addrs is None or access.active is None:
             continue
+        # One pass over all warps: every active lane's words, tagged
+        # with its warp's bit, sorted by word and OR-reduced per word.
+        nwarps = access.addrs.shape[0]
         words_per_lane = max(1, access.width // BANK_BYTES)
-        offsets = np.arange(words_per_lane, dtype=np.int64)
-        per_warp: list[frozenset[int]] = []
-        total = 0
-        for warp in range(access.addrs.shape[0]):
-            active = access.addrs[warp][access.active[warp]]
-            if active.size == 0:
-                per_warp.append(frozenset())
-                continue
-            words = np.unique(
-                (active[:, None] // BANK_BYTES + offsets[None, :]).ravel()
-            )
-            per_warp.append(frozenset(int(w) for w in words))
-            total += words.size
-        union = frozenset().union(*per_warp) if per_warp else frozenset()
+        lane_words = (
+            access.addrs[:, :, None] // BANK_BYTES
+            + np.arange(words_per_lane, dtype=np.int64)
+        )
+        active = np.broadcast_to(access.active[:, :, None], lane_words.shape)
+        bits = np.broadcast_to(
+            (np.uint64(1) << np.arange(nwarps, dtype=np.uint64))[:, None, None],
+            lane_words.shape,
+        )[active]
+        flat = lane_words[active]
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        if flat.size:
+            words = flat[starts]
+            warps = np.bitwise_or.reduceat(bits[order], starts)
+        else:  # no active lane
+            words = flat
+            warps = bits
         guard = _NO_GUARD
         g = access.instr.guard
         if not g.is_pt:
@@ -88,12 +98,13 @@ def _access_info(ctx: AnalysisContext) -> dict[int, _AccessInfo]:
             name=access.instr.name,
             is_store=access.is_store,
             guard=guard,
-            per_warp=per_warp,
-            union=union,
+            words=words,
+            warps=warps,
             # Distinct warps sharing a word on one store instruction is
-            # itself a race (per-warp sets are deduplicated, so any
-            # shrink in the union is cross-warp).
-            cross_warp_write_overlap=access.is_store and total > len(union),
+            # itself a race.
+            cross_warp_write_overlap=(
+                access.is_store and bool(np.any(warps & (warps - np.uint64(1))))
+            ),
         )
     return infos
 
@@ -162,19 +173,28 @@ class SharedRacePass(AnalysisPass):
         )
 
         # Reporting sweep over the fixpoint; each (earlier, later) pair
-        # is judged once, globally.
+        # with a store in it is judged once, globally.  Within a block
+        # only the pending positions matter (guards act on edges), and
+        # stores are kept apart from loads: a load is judged against
+        # pending stores only, since read/read never races.
         findings: dict[tuple[int, int], Diagnostic] = {}
         checked: set[tuple[int, int]] = set()
         for block in cfg.blocks:
             state_in = in_states[block.id]
             if state_in is None:
                 continue
-            state = set(state_in)
+            stores = {pos for pos, _ in state_in if infos[pos].is_store}
+            loads = {pos for pos, _ in state_in} - stores
             for pos in block.positions():
+                if instructions[pos].name == "BAR":
+                    stores.clear()
+                    loads.clear()
+                    continue
                 info = infos.get(pos)
-                if info is not None:
-                    self._check(info, state, infos, checked, findings)
-                step(state, pos)
+                if info is None:
+                    continue
+                self._check(info, stores, loads, infos, checked, findings)
+                (stores if info.is_store else loads).add(pos)
 
         diags = [findings[key] for key in sorted(findings)]
         if unresolved:
@@ -200,7 +220,8 @@ class SharedRacePass(AnalysisPass):
     def _check(
         self,
         info: _AccessInfo,
-        pending: set,
+        stores: set[int],
+        loads: set[int],
         infos: dict[int, _AccessInfo],
         checked: set[tuple[int, int]],
         findings: dict[tuple[int, int], Diagnostic],
@@ -213,20 +234,17 @@ class SharedRacePass(AnalysisPass):
                     f"warps write overlapping shared-memory words at "
                     f"instruction {info.pos} with no intervening BAR.SYNC",
                 )
-        for other_pos, _guard in pending:
+        others: Iterable[int] = (
+            itertools.chain(stores, loads) if info.is_store else stores
+        )
+        for other_pos in others:
             if other_pos == info.pos:
                 continue
             key = (min(info.pos, other_pos), max(info.pos, other_pos))
             if key in checked:
                 continue
             checked.add(key)
-            other = infos.get(other_pos)
-            if other is None:
-                continue
-            if not (info.is_store or other.is_store):
-                continue  # read/read never races
-            if not (info.union & other.union):
-                continue
+            other = infos[other_pos]
             if self._cross_warp_overlap(info, other):
                 a, b = sorted((info, other), key=lambda i: i.pos)
                 findings[key] = self._diag(
@@ -239,15 +257,20 @@ class SharedRacePass(AnalysisPass):
 
     @staticmethod
     def _cross_warp_overlap(a: _AccessInfo, b: _AccessInfo) -> bool:
-        for w, words_a in enumerate(a.per_warp):
-            if not words_a:
-                continue
-            for v, words_b in enumerate(b.per_warp):
-                if v == w or not words_b:
-                    continue
-                if words_a & words_b:
-                    return True
-        return False
+        """Does a warp of *a* share a word with a different warp of *b*?
+
+        On a common word that fails only when both touch it from one
+        and the same single warp.
+        """
+        if not (a.words.size and b.words.size):
+            return False
+        if a.words[-1] < b.words[0] or b.words[-1] < a.words[0]:
+            return False
+        _, ia, ib = np.intersect1d(
+            a.words, b.words, assume_unique=True, return_indices=True
+        )
+        wa, wb = a.warps[ia], b.warps[ib]
+        return bool(np.any((wa != wb) | (wa & (wa - np.uint64(1)) != 0)))
 
     @staticmethod
     def _diag(pos: int, name: str, message: str) -> Diagnostic:

@@ -5,10 +5,11 @@ must be a *bit-exact* replacement for the per-cycle reference loop in
 ``SMSimulator._run_reference`` — same cycle counts, same sector/conflict
 counters, same occupancy — on the kernels the paper actually measures.
 
-The default tier spot-checks a few schedules on both devices with the
-full ``Counters`` record compared field-for-field.  The ``slow`` tier
-sweeps the entire QUICK_SPACE grid (the CI search space) plus Table-1
-layer kernels.
+The default tier spot-checks a few schedules of both tile families on
+both devices with the full ``Counters`` record compared field-for-field.
+The ``slow`` tier sweeps the entire QUICK_SPACE grid (the CI search
+space) of both families plus Table-1 layer kernels.  The fast side runs
+as a timing study, i.e. only the address/control slice of the program.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 from repro.gpusim import DEVICES
 from repro.kernels import clear_kernel_cache, clear_simulation_cache
 from repro.kernels.runner import _simulate_main_loop
+from repro.kernels.winograd_fused import default_tunables
 from repro.models import paper_layers
 from repro.sched.space import PAPER_SCHEDULE, QUICK_SPACE
 
@@ -37,18 +39,18 @@ def _isolated(monkeypatch):
     clear_kernel_cache()
 
 
-def _counters(monkeypatch, engine, prob, device, tunables, iters=3):
+def _counters(monkeypatch, engine, prob, device, tunables, iters=3, tile=None):
     monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-    result = _simulate_main_loop(prob, device, tunables, iters, None)
+    result = _simulate_main_loop(prob, device, tunables, iters, None, tile=tile)
     return dataclasses.asdict(result.counters), result.occupancy
 
 
-def _assert_engines_agree(monkeypatch, prob, device, tunables, iters=3):
+def _assert_engines_agree(monkeypatch, prob, device, tunables, iters=3, tile=None):
     ref_counters, ref_occ = _counters(
-        monkeypatch, "reference", prob, device, tunables, iters
+        monkeypatch, "reference", prob, device, tunables, iters, tile
     )
     fast_counters, fast_occ = _counters(
-        monkeypatch, "fast", prob, device, tunables, iters
+        monkeypatch, "fast", prob, device, tunables, iters, tile
     )
     assert fast_occ == ref_occ
     assert fast_counters == ref_counters, {
@@ -80,6 +82,25 @@ def test_engines_agree_on_spot_schedules(monkeypatch, dev_key, schedule):
     )
 
 
+#: f44: the family's default tunables and its quick-profile winner.
+F44_SPOT_TUNABLES = {
+    "default": default_tunables("f44"),
+    "natural/ldg8/sts2": next(
+        s for s in QUICK_SPACE.candidates()
+        if s.label() == "yield=natural/ldg8/sts2/db2"
+    ).to_tunables(tile="f44"),
+}
+
+
+@pytest.mark.parametrize("dev_key", DEVICE_KEYS)
+@pytest.mark.parametrize("label", sorted(F44_SPOT_TUNABLES))
+def test_engines_agree_on_f44_spot_schedules(monkeypatch, dev_key, label):
+    _assert_engines_agree(
+        monkeypatch, _surrogate(), DEVICES[dev_key], F44_SPOT_TUNABLES[label],
+        tile="f44",
+    )
+
+
 def test_engines_agree_on_table1_layer(monkeypatch):
     """A real Table-1 ResNet layer, not just the search surrogate."""
     prob = paper_layers()[0]
@@ -99,6 +120,18 @@ def test_engines_agree_on_table1_layer(monkeypatch):
 def test_engines_agree_across_quick_space(monkeypatch, dev_key, schedule):
     _assert_engines_agree(
         monkeypatch, _surrogate(), DEVICES[dev_key], schedule.to_tunables()
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dev_key", DEVICE_KEYS)
+@pytest.mark.parametrize(
+    "schedule", QUICK_SPACE.candidates(), ids=lambda s: s.label()
+)
+def test_engines_agree_across_f44_quick_space(monkeypatch, dev_key, schedule):
+    _assert_engines_agree(
+        monkeypatch, _surrogate(), DEVICES[dev_key],
+        schedule.to_tunables(tile="f44"), tile="f44",
     )
 
 
